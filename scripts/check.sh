@@ -18,12 +18,10 @@ if grep -rn "ServerPoolConfig" src tests bench examples 2>/dev/null; then
   echo "check.sh: ServerPoolConfig is dead; use ServerConfig + SoapServer::create" >&2
   exit 1
 fi
-# PR 10 redesigned the security layer: MessageSecurity is the one concept
-# and the old SecurityPolicy name survives only as the deprecated alias in
-# the compat shim.
-if grep -rn "SecurityPolicy" src tests bench examples 2>/dev/null \
-    | grep -v "src/soap/security_compat.hpp"; then
-  echo "check.sh: SecurityPolicy is dead outside src/soap/security_compat.hpp; use MessageSecurity" >&2
+# MessageSecurity is the one security concept; the old SecurityPolicy name
+# and its compat alias are gone, with no exemption anywhere.
+if grep -rn "SecurityPolicy" src tests bench examples 2>/dev/null; then
+  echo "check.sh: SecurityPolicy is dead; use MessageSecurity" >&2
   exit 1
 fi
 

@@ -51,9 +51,8 @@ concept ChunkAuthenticator =
       { a.finalize(out) } -> std::same_as<void>;
     };
 
-/// What the generic engine requires of its Security template parameter.
-/// (The former envelope-only concept is deprecated; see
-/// soap/security_compat.hpp.)
+/// What the generic engine requires of its Security template parameter:
+/// envelope apply/verify plus the stream_auth() offer for chunked streams.
 template <typename S>
 concept MessageSecurity = requires(const S s, SoapEnvelope& env) {
   { s.apply(env) } -> std::same_as<void>;

@@ -23,6 +23,7 @@
 #include "soap/binding.hpp"
 #include "soap/encoding.hpp"
 #include "transport/framing.hpp"
+#include "transport/session.hpp"
 #include "transport/http.hpp"
 #include "transport/socket.hpp"
 #include "transport/stream.hpp"
@@ -58,67 +59,28 @@ class TcpClientBinding {
 
   void send_request(soap::WireMessage m) {
     ensure_connected();
-    if (!v3_active_) {
+    if (!session_->negotiated()) {
+      // Header and payload leave in one gathered write, no copy.
       write_frame(stream_, m);
     } else {
-      ByteWriter out(pool_->acquire(m.payload.size() + 64));
-      if (enc_dict_ &&
-          m.content_type == soap::BxsaEncoding::content_type()) {
-        // Only plain BXSA payloads go through the symbol dictionary; any
-        // other content type rides a v3 frame with (at most) the
-        // compressed flag.
-        frame_v3_payload(out, m.payload, m.content_type, enc_dict_,
-                         dict_stats_, transforms_, compress_policy_, pool_,
-                         compress_stats_);
-      } else {
-        std::optional<bxsa::DictEncoder> no_dict;
-        frame_v3_payload(out, m.payload, m.content_type, no_dict,
-                         dict_stats_, transforms_, compress_policy_, pool_,
-                         compress_stats_);
-      }
+      ByteWriter out(pool().acquire(m.payload.size() + 64));
+      session_->frame_message(out, m.payload, m.content_type);
       stream_.write_all(out.bytes());
-      pool_->release(out.take());
+      pool().release(out.take());
     }
     // The payload's storage is done with; recycle it for the next encode.
-    pool_->release(std::move(m.payload));
+    pool().release(std::move(m.payload));
   }
   soap::WireMessage receive_response() {
     if (!stream_.valid()) throw TransportError("not connected");
-    if (!v3_active_) return read_frame(stream_, limits_, pool_);
     // A negotiated channel still accepts v1 frames: the server's shed
     // fault (and other pre-encoded constants) are version 1 on purpose.
-    FrameStart start = read_frame_start(stream_, limits_, /*accept_v3=*/true);
-    if (start.hello) {
-      throw TransportError("unexpected Hello frame in a response");
+    SessionEvent ev = next_event(stream_, *session_);
+    if (ev.kind != SessionEvent::Kind::kMessage) {
+      throw TransportError(
+          "chunked frame on an endpoint without a stream handler");
     }
-    const std::uint8_t flags = start.flags;
-    soap::WireMessage m =
-        read_frame_body(stream_, std::move(start), limits_, pool_);
-    // Decode order mirrors the server's encode order (dict, then
-    // compress): decompress first so the dictionary sees canonical bytes.
-    if ((flags & v3flags::kCompressed) != 0) {
-      m.payload = decompress_frame_payload(std::move(m.payload), transforms_,
-                                           limits_, *pool_);
-    }
-    if ((flags & v3flags::kDictEncoded) != 0) {
-      if (!dec_dict_) {
-        throw TransportError(
-            "dictionary-coded response without a negotiated table");
-      }
-      ByteWriter plain(pool_->acquire(m.payload.size() + 64));
-      try {
-        dec_dict_->decode(m.payload, (flags & v3flags::kDictReset) != 0,
-                          plain, dict_stats_);
-      } catch (const DecodeError& e) {
-        // A mirror desync poisons the channel; typed as TransportError so
-        // the retry layer reconnects (fresh connection, fresh tables).
-        throw TransportError(std::string("dictionary decode failed: ") +
-                             e.what());
-      }
-      pool_->release(std::move(m.payload));
-      m.payload = plain.take();
-    }
-    return m;
+    return std::move(ev.message);
   }
   soap::WireMessage receive_request() {
     throw TransportError("receive_request on a client binding");
@@ -134,6 +96,10 @@ class TcpClientBinding {
   /// peer, response chunks start arriving long before the request ends,
   /// and if nobody read them both TCP windows would fill and deadlock.
   ///
+  /// On an auth-negotiated channel both directions are signed: the request
+  /// encoder signs plaintext chunks as they flush and the session verifies
+  /// the server's trailer before End can surface.
+  ///
   /// A server that faulted before its first response chunk answers with a
   /// v1 frame; `rx` then sees the fault envelope as a single-data-chunk
   /// stream and can decode it normally.
@@ -141,41 +107,11 @@ class TcpClientBinding {
   void stream_exchange(std::string_view content_type,
                        std::size_t chunk_bytes, Tx&& tx, Rx&& rx) {
     ensure_connected();
-    struct WireSink final : StreamSink {
-      ChunkedFrameWriter<TcpStream> writer;
-      BufferPool* pool;
-      WireSink(TcpStream& s, std::string_view ct, BufferPool* p)
-          : writer(s, ct), pool(p) {}
-      void write(StreamChunk c) override {
-        if (c.kind == ChunkKind::kData) {
-          writer.write_data(c.bytes);
-        } else {
-          writer.write_raw(c.kind, c.bytes);
-        }
-        pool->release(std::move(c.bytes));
-      }
-      void finish() override { writer.finish(); }
-    } sink(stream_, content_type, pool_);
-    if (transforms_ != 0) {
-      sink.writer.set_compression(
-          {transforms_, compress_policy_, pool_, compress_stats_});
-    }
-    // On an auth-negotiated channel both directions are signed: the
-    // request writer absorbs plaintext chunks as they flush and emits the
-    // Auth trailer, the response reader verifies the server's trailer
-    // before End can surface. The authenticators outlive both the
-    // producer thread and the read loop below.
-    std::unique_ptr<StreamAuthenticator> tx_auth, rx_auth;
-    if (auth_algo_ != 0) {
-      tx_auth = stream_auth_.make(auth_algo_);
-      rx_auth = stream_auth_.make(auth_algo_);
-      if (tx_auth == nullptr || rx_auth == nullptr) {
-        throw TransportError("stream auth cannot build the negotiated "
-                             "algorithm");
-      }
-      sink.writer.set_auth(tx_auth.get(), auth_algo_, auth_stats_);
-    }
-    ResponseWriter request(sink, *pool_, chunk_bytes);
+    // The producer thread owns the writer (and the per-stream authenticator
+    // inside its encoder); this thread owns the session's inbound half.
+    ChunkedFrameWriter<TcpStream> sink(stream_, content_type,
+                                       session_->chunk_encoder());
+    ResponseWriter request(sink, pool(), chunk_bytes);
 
     std::exception_ptr tx_err;
     std::thread producer([&] {
@@ -189,31 +125,25 @@ class TcpClientBinding {
       }
     });
     try {
-      FrameStart start = read_frame_start(stream_, limits_);
-      if (start.chunked()) {
-        struct ReaderSource final : StreamSource {
-          ChunkedFrameReader<TcpStream> reader;
-          ReaderSource(TcpStream& s, const FrameLimits& l, BufferPool* p)
-              : reader(s, l, p) {}
+      SessionEvent first = next_event(stream_, *session_);
+      if (first.kind == SessionEvent::Kind::kStream) {
+        struct SessionSource final : StreamSource {
+          TcpStream& stream;
+          Session& session;
+          SessionSource(TcpStream& s, Session& ss) : stream(s), session(ss) {}
           std::optional<StreamChunk> next() override {
-            if (reader.done()) return std::nullopt;
-            StreamChunk c = reader.next();
-            if (c.kind == ChunkKind::kEnd) return std::nullopt;
-            return c;
+            SessionEvent ev = next_event(stream, session);
+            if (ev.kind == SessionEvent::Kind::kEnd) return std::nullopt;
+            return std::move(ev.chunk);
           }
-        } source(stream_, limits_, pool_);
-        source.reader.set_transforms(transforms_);
-        if (rx_auth != nullptr) {
-          source.reader.set_auth(rx_auth.get(), auth_algo_, auth_stats_);
-        }
-        StreamRequest response(std::move(start.content_type), source);
+        } source(stream_, *session_);
+        StreamRequest response(std::move(first.message.content_type),
+                               source);
         rx(response);
-        response.drain(*pool_);
-      } else {
+        response.drain(pool());
+      } else if (first.kind == SessionEvent::Kind::kMessage) {
         // The in-band fault path: present the v1 envelope as a one-chunk
         // stream so the consumer decodes it like any other response.
-        soap::WireMessage m =
-            read_frame_body(stream_, std::move(start), limits_, pool_);
         struct OneShot final : StreamSource {
           std::vector<std::uint8_t> payload;
           bool given = false;
@@ -223,29 +153,32 @@ class TcpClientBinding {
             return StreamChunk{ChunkKind::kData, std::move(payload)};
           }
         } source;
-        source.payload = std::move(m.payload);
-        StreamRequest response(std::move(m.content_type), source);
+        source.payload = std::move(first.message.payload);
+        StreamRequest response(std::move(first.message.content_type),
+                               source);
         rx(response);
-        response.drain(*pool_);
+        response.drain(pool());
+      } else {
+        throw TransportError("unexpected handshake frame in a response");
       }
     } catch (...) {
       // The wire is in an unknown state; kill the connection so the next
       // call starts fresh, and never leak the producer thread.
       stream_.shutdown_both();
       producer.join();
-      stream_.close();
+      close();
       throw;
     }
     producer.join();
     if (tx_err) {
-      stream_.close();
+      close();
       std::rethrow_exception(tx_err);
     }
   }
 
   void close() {
     stream_.close();
-    reset_v3_session();
+    session_.reset();
   }
 
   /// Drop the connection; the next send reconnects. The retry layer
@@ -257,8 +190,8 @@ class TcpClientBinding {
   /// side's dictionary-table limits (defaults: bxsa::DictLimits). A failed
   /// probe downgrades the binding to v1 permanently.
   void enable_v3(bxsa::DictLimits offer = {}) noexcept {
-    v3_enabled_ = true;
-    dict_offer_ = offer;
+    cfg_.v3 = true;
+    cfg_.dict = offer;
   }
 
   /// Offer `offer` (transport/compress.hpp transforms:: bitmask) in the v3
@@ -267,12 +200,14 @@ class TcpClientBinding {
   /// handshake — and applies to connections dialed after the call.
   void enable_compression(std::uint8_t offer = transforms::kAll,
                           const CompressPolicy& policy = {}) noexcept {
-    compress_offer_ = offer & transforms::kAll;
-    compress_policy_ = policy;
+    cfg_.transforms = offer & transforms::kAll;
+    cfg_.compress_policy = policy;
   }
 
   /// The CURRENT connection's negotiated transform set (0 = plain).
-  std::uint8_t negotiated_transforms() const noexcept { return transforms_; }
+  std::uint8_t negotiated_transforms() const noexcept {
+    return session_ ? session_->negotiated_transforms() : std::uint8_t{0};
+  }
 
   /// Offer `auth.algos` (transport/auth.hpp authalgs:: bitmask) in the v3
   /// Hello; the lowest bit of the Accept's intersection becomes this
@@ -283,43 +218,49 @@ class TcpClientBinding {
   /// sticky downgrade; see DESIGN.md §15 for why that is in-threat-model).
   void enable_stream_auth(StreamAuth auth) {
     if (!auth) return;
-    stream_auth_ = std::move(auth);
-    v3_enabled_ = true;
+    cfg_.auth = std::move(auth);
+    cfg_.v3 = true;
   }
 
   /// The CURRENT connection's negotiated auth algorithm (one authalgs::
   /// bit, or 0 when streams are unsigned).
-  std::uint8_t negotiated_auth() const noexcept { return auth_algo_; }
+  std::uint8_t negotiated_auth() const noexcept {
+    return session_ ? session_->negotiated_auth() : std::uint8_t{0};
+  }
 
   /// Metric sinks for this channel's stream-auth work (both directions).
   void set_auth_stats(const AuthStats& stats) noexcept {
-    auth_stats_ = stats;
+    cfg_.auth_stats = stats;
   }
 
   /// Metric sinks for this channel's compression work (both directions).
   void set_compress_stats(const CompressStats& stats) noexcept {
-    compress_stats_ = stats;
+    cfg_.compress_stats = stats;
   }
 
   /// Whether the CURRENT connection negotiated v3 (false before the first
   /// exchange, after a downgrade, and while disconnected).
-  bool v3_active() const noexcept { return v3_active_; }
+  bool v3_active() const noexcept {
+    return session_ && session_->negotiated();
+  }
 
   /// The effective dictionary limits of the current connection (zeros
   /// when no dictionary was negotiated).
-  bxsa::DictLimits negotiated_dict() const noexcept { return v3_limits_; }
+  bxsa::DictLimits negotiated_dict() const noexcept {
+    return session_ ? session_->negotiated_dict() : bxsa::DictLimits{0, 0};
+  }
 
   /// Metric sinks for this channel's dictionary work (both directions).
   void set_dict_stats(const bxsa::DictStats& stats) noexcept {
-    dict_stats_ = stats;
+    cfg_.dict_stats = stats;
   }
 
   /// Ceilings applied to incoming frames (see transport/framing.hpp).
-  void set_frame_limits(FrameLimits limits) noexcept { limits_ = limits; }
+  void set_frame_limits(FrameLimits limits) noexcept { cfg_.limits = limits; }
 
   /// Recycle receive buffers (and sent payloads) through `pool`; defaults
   /// to the process-wide pool.
-  void set_buffer_pool(BufferPool& pool) noexcept { pool_ = &pool; }
+  void set_buffer_pool(BufferPool& pool) noexcept { cfg_.pool = &pool; }
 
   /// Tally this connection's bytes/syscalls into `io` (obs/metrics.hpp).
   void set_io_stats(obs::IoStats* io) noexcept {
@@ -328,90 +269,50 @@ class TcpClientBinding {
   }
 
  private:
-  void ensure_connected() {
-    if (stream_.valid()) return;
+  BufferPool& pool() const noexcept { return *cfg_.pool; }
+
+  /// Connect, and build the connection's session from this side's
+  /// offers — probing for v3 unless it is off or a probe already failed.
+  void dial() {
+    Session::Config cfg = cfg_;
+    cfg.v3 = cfg_.v3 && !v3_failed_;
+    session_.emplace(Session::Role::kClient, std::move(cfg));
     stream_ = TcpStream::connect(port_);
     stream_.set_io_stats(io_);
     stream_.set_no_delay(true);
-    if (!v3_enabled_ || v3_failed_) return;
-    // Probe: Hello now, Accept before the first exchange. A v3 server
-    // costs one extra round trip per CONNECTION (amortized across every
-    // exchange on it); a pre-v3 server cuts the connection, which
-    // read_accept surfaces as TransportError — downgrade for good and
-    // redial plain.
-    try {
-      HelloFrame hello;
-      hello.dict_max_entries = dict_offer_.max_entries;
-      hello.dict_max_bytes = dict_offer_.max_bytes;
-      hello.transforms = compress_offer_;
-      hello.auth = stream_auth_.algos;
-      write_hello(stream_, hello);
-      const AcceptFrame accept = read_accept(stream_);
-      if (accept.version == kFrameVersionNegotiated) {
-        v3_active_ = true;
-        v3_limits_ = bxsa::DictLimits{accept.dict_max_entries,
-                                      accept.dict_max_bytes};
-        // Re-intersect with our own offer: a server granting transforms we
-        // never offered must not make us accept (or emit) them.
-        transforms_ = accept.transforms & compress_offer_;
-        // Same for auth: the effective algorithm is the lowest bit of the
-        // double-checked intersection (0 = this channel runs unsigned).
-        auth_algo_ = authalgs::pick(accept.auth & stream_auth_.algos);
-        if (v3_limits_.max_entries > 0) {
-          enc_dict_.emplace(v3_limits_);
-          dec_dict_.emplace(v3_limits_);
-        }
-      } else {
-        // The server parsed the Hello but chose v1: it will never choose
-        // otherwise, so stop probing.
-        v3_failed_ = true;
-      }
-    } catch (const TransportError&) {
-      v3_failed_ = true;
-      stream_.close();
-      reset_v3_session();
-      stream_ = TcpStream::connect(port_);
-      stream_.set_io_stats(io_);
-      stream_.set_no_delay(true);
-    }
   }
 
-  /// Per-connection v3 state dies with the connection (the server builds
-  /// fresh tables per connection too); only the downgrade flag is sticky.
-  void reset_v3_session() noexcept {
-    v3_active_ = false;
-    v3_limits_ = bxsa::DictLimits{0, 0};
-    transforms_ = 0;
-    auth_algo_ = 0;
-    enc_dict_.reset();
-    dec_dict_.reset();
+  void ensure_connected() {
+    if (stream_.valid()) return;
+    dial();
+    if (!session_->awaiting_handshake()) return;
+    // Probe: Hello now, Accept before the first exchange. A v3 server
+    // costs one extra round trip per CONNECTION (amortized across every
+    // exchange on it); a pre-v3 server cuts the connection, which surfaces
+    // as TransportError — downgrade for good and redial plain.
+    try {
+      stream_.write_all(session_->take_output());
+      next_event(stream_, *session_);
+      // A server that parsed the Hello but chose v1 will never choose
+      // otherwise, so stop probing.
+      if (!session_->negotiated()) v3_failed_ = true;
+    } catch (const TransportError&) {
+      v3_failed_ = true;
+      close();
+      dial();
+    }
   }
 
   std::uint16_t port_;
   TcpStream stream_;
-  FrameLimits limits_{};
   obs::IoStats* io_ = nullptr;
-  BufferPool* pool_ = &BufferPool::global();
-  // BXTP v3 channel state (see the class comment).
-  bool v3_enabled_ = false;
-  bool v3_failed_ = false;   // sticky: never probe this binding again
-  bool v3_active_ = false;   // the CURRENT connection negotiated v3
-  bxsa::DictLimits dict_offer_{};
-  bxsa::DictLimits v3_limits_{0, 0};
-  std::optional<bxsa::DictEncoder> enc_dict_;
-  std::optional<bxsa::DictDecoder> dec_dict_;
-  bxsa::DictStats dict_stats_{};
-  // Adaptive compression state: the sticky offer, the CURRENT connection's
-  // negotiated set, and the encode-side policy/counters.
-  std::uint8_t compress_offer_ = 0;
-  std::uint8_t transforms_ = 0;
-  CompressPolicy compress_policy_{};
-  CompressStats compress_stats_{};
-  // Stream authentication state: the sticky offer, the CURRENT
-  // connection's negotiated algorithm, and the shared sec.* counters.
-  StreamAuth stream_auth_{};
-  std::uint8_t auth_algo_ = 0;
-  AuthStats auth_stats_{};
+  /// This side's limits, buffers, offers and metric sinks; each dial
+  /// builds the connection's session from them.
+  Session::Config cfg_{.pool = &BufferPool::global(),
+                       .dict = bxsa::DictLimits{}};
+  bool v3_failed_ = false;  // sticky: never probe this binding again
+  /// The CURRENT connection's session (empty while disconnected).
+  std::optional<Session> session_;
 };
 
 /// Server endpoint of SOAP-over-TCP: accepts one connection at a time and

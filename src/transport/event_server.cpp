@@ -4,6 +4,7 @@
 
 #include "soap/encoding.hpp"
 #include "soap/overload.hpp"
+#include "transport/internal/session_config.hpp"
 
 namespace bxsoap::transport {
 
@@ -32,18 +33,11 @@ SoapEventServer::SoapEventServer(ServerConfig config)
       stream_chunk_bytes_(config.stream_chunk_bytes),
       buffer_pool_(config.buffer_pool),
       read_timeout_ms_(config.read_timeout_ms),
-      frame_limits_(config.frame_limits),
       max_connections_(config.max_workers),
       drain_timeout_(config.drain_timeout),
       max_queue_depth_(config.max_queue_depth),
       max_inflight_per_conn_(config.max_inflight_per_conn),
-      accept_v3_(config.accept_v3),
-      dict_limits_(config.dict_limits),
-      compress_transforms_(config.compress_transforms),
-      compress_policy_(config.compress_policy),
-      stream_auth_(std::move(config.stream_auth)) {
-  dict_capable_ =
-      encoding_->content_type() == soap::BxsaEncoding::content_type();
+      session_cfg_(session_config(config, *encoding_, &buffer_pool_)) {
   if (max_queue_depth_ > 0 || max_inflight_per_conn_ > 0) {
     // Shedding happens on reactor threads, which must never pay for a
     // serialize: the Overloaded fault frame is a constant, built once.
@@ -92,18 +86,6 @@ SoapEventServer::SoapEventServer(ServerConfig config)
                                  &reg->counter(prefix + ".pool.miss"),
                                  &reg->counter(prefix + ".pool.recycled_bytes"));
     encoding_->set_codec_stats(&reg->codec(prefix + ".bxsa"));
-    dict_stats_.entries = &reg->counter(prefix + ".dict.entries");
-    dict_stats_.bytes_saved = &reg->counter(prefix + ".dict.bytes_saved");
-    dict_stats_.resets = &reg->counter(prefix + ".dict.resets");
-    compress_stats_.chunks = &reg->counter(prefix + ".compress.chunks");
-    compress_stats_.skipped = &reg->counter(prefix + ".compress.skipped");
-    compress_stats_.bytes_in = &reg->counter(prefix + ".compress.bytes_in");
-    compress_stats_.bytes_out = &reg->counter(prefix + ".compress.bytes_out");
-    compress_stats_.ns = &reg->counter(prefix + ".compress.ns");
-    auth_stats_.bytes_authenticated =
-        &reg->counter(prefix + ".sec.bytes_authenticated");
-    auth_stats_.tag_failures = &reg->counter(prefix + ".sec.tag_failures");
-    auth_stats_.verify_ns = &reg->counter(prefix + ".sec.verify.ns");
   }
   if (!config.idempotent_ops.empty()) {
     ResponseCache::Stats cache_stats;
@@ -374,8 +356,7 @@ void SoapEventServer::accept_ready(Reactor& r) {
 }
 
 void SoapEventServer::adopt(Reactor& r, TcpStream stream) {
-  auto conn = std::make_shared<Conn>(std::move(stream), frame_limits_,
-                                     &buffer_pool_, accept_v3_);
+  auto conn = std::make_shared<Conn>(std::move(stream), session_cfg_);
   conn->owner = &r;
   conn->last_activity = std::chrono::steady_clock::now();
   const int conn_fd = conn->stream.fd();
@@ -486,181 +467,107 @@ void SoapEventServer::read_ready(const std::shared_ptr<Conn>& conn) {
   }
 }
 
-/// Feed bytes through the assembler, dispatching completed v1 frames to
-/// the worker queue and v2 chunks to the connection's stream. Returns
-/// false when the stream in-queue filled: the unconsumed remainder is
-/// stashed in stream_backlog and EPOLLIN is parked until the stream
+/// Feed bytes through the connection's session, dispatching whole messages
+/// to the worker queue and stream events to the connection's stream.
+/// Returns false when the stream in-queue filled: the unconsumed remainder
+/// is stashed in stream_backlog and EPOLLIN is parked until the stream
 /// thread frees room.
 bool SoapEventServer::pump(const std::shared_ptr<Conn>& conn,
                            std::span<const std::uint8_t> data) {
   for (;;) {
-    const std::size_t used = conn->assembler.feed(data);
-    data = data.subspan(used);
-    if (conn->assembler.hello_ready()) {
-      // BXTP v3 handshake (FORMAT.md §"BXTP v3"). A Hello is only legal as
-      // the connection's first frame — the Accept bypasses the response
-      // sequencing (it answers no request), so nothing may be in flight.
-      const HelloFrame hello = conn->assembler.take_hello();
-      if (conn->v3 || conn->next_seq != 0) {
-        throw TransportError("Hello on a connection already in use");
-      }
-      AcceptFrame accept;
-      if (hello.max_version >= kFrameVersionNegotiated) {
-        // Effective table: the element-wise min of both offers — forced to
-        // empty when this server's payloads are not plain BXSA, so the
-        // client never dictionary-codes at us in vain.
-        bxsa::DictLimits eff{0, 0};
-        if (dict_capable_) {
-          eff = dict_limits_.min_with(
-              {hello.dict_max_entries, hello.dict_max_bytes});
+    data = data.subspan(conn->session.feed(data));
+    std::optional<SessionEvent> ev = conn->session.poll();
+    if (!ev) return true;  // every byte consumed, no event complete
+    switch (ev->kind) {
+      case SessionEvent::Kind::kHandshake:
+        // The Accept bypasses the response sequencing (it answers no
+        // request); the session admits a Hello only as the first frame,
+        // so nothing can be in flight ahead of it.
+        {
+          std::lock_guard lock(conn->mu);
+          conn->outbox.push_back(conn->session.take_output());
         }
-        accept.version = kFrameVersionNegotiated;
-        accept.dict_max_entries = eff.max_entries;
-        accept.dict_max_bytes = eff.max_bytes;
-        // Transform set: the intersection of both offers. The assembler
-        // decompresses incoming chunks itself, so it learns the set too.
-        accept.transforms = compress_transforms_ & hello.transforms;
-        conn->transforms = accept.transforms;
-        conn->assembler.set_transforms(accept.transforms);
-        // Stream authentication: the intersection of both offers; the
-        // effective algorithm is its lowest set bit. The assembler owns
-        // the receive side — it absorbs surfaced chunks and verifies the
-        // Auth trailer in wire order on this (the owning) reactor.
-        accept.auth = stream_auth_
-                          ? (stream_auth_.algos & hello.auth)
-                          : std::uint8_t{0};
-        conn->auth_algo = authalgs::pick(accept.auth);
-        if (conn->auth_algo != 0) {
-          conn->rx_auth = stream_auth_.make(conn->auth_algo);
-          if (conn->rx_auth == nullptr) {
-            throw TransportError(
-                "stream auth cannot build the negotiated algorithm");
-          }
-          conn->assembler.set_auth(conn->rx_auth.get(), conn->auth_algo,
-                                   auth_stats_);
-        }
-        conn->v3 = true;
-        if (eff.max_entries > 0) {
-          conn->req_dict.emplace(eff);
-          conn->resp_dict.emplace(eff);
-        }
-      } else {
-        // The peer probed with v3 framing but cannot speak it; answer
-        // with v1 and keep serving plain frames.
-        accept.version = kFrameVersion;
-      }
-      ByteWriter reply(buffer_pool_.acquire(64));
-      encode_accept(reply, accept);
-      {
-        std::lock_guard lock(conn->mu);
-        conn->outbox.push_back(reply.take());
-      }
-      flush(conn);
-      continue;
-    }
-    if (conn->assembler.ready()) {
-      // Flags are latched before take() resets the assembler's state.
-      const std::uint8_t req_flags = conn->assembler.frame_flags();
-      soap::WireMessage request = conn->assembler.take();
-      // Decode order is the reverse of encode order (dict then compress):
-      // decompress first, so the dictionary — and the response cache — see
-      // canonical bytes. Throws when the peer never negotiated transforms.
-      if ((req_flags & v3flags::kCompressed) != 0) {
-        request.payload = decompress_frame_payload(std::move(request.payload),
-                                                   conn->transforms,
-                                                   frame_limits_, buffer_pool_);
-      }
-      if ((req_flags & v3flags::kDictEncoded) != 0) {
-        if (!conn->req_dict) {
-          throw TransportError(
-              "dictionary-coded message without a negotiated table");
-        }
-        // Frames leave the assembler in wire order on this (the owning)
-        // reactor — exactly the order the mirrored table requires, and
-        // before the request's arrival order is handed to the workers.
-        ByteWriter plain(buffer_pool_.acquire(request.payload.size() + 64));
-        try {
-          conn->req_dict->decode(request.payload,
-                                 (req_flags & v3flags::kDictReset) != 0,
-                                 plain, dict_stats_);
-        } catch (const DecodeError& e) {
-          // A mirror desync poisons every later message on this channel;
-          // strict validation cuts the connection (FORMAT.md "BXTP v3").
-          throw TransportError(std::string("dictionary decode failed: ") +
-                               e.what());
-        }
-        buffer_pool_.release(std::move(request.payload));
-        request.payload = plain.take();
-      }
-      const std::uint64_t seq = conn->next_seq++;
-      std::size_t inflight_now = 0;
-      {
-        std::lock_guard lock(conn->mu);
-        ++conn->inflight;
-        inflight_now = conn->inflight;
-        // A second request arriving before the first response left is
-        // the pipelining case the thread-per-connection pool can't do.
-        if (pipelined_ != nullptr &&
-            (conn->inflight > 1 || !conn->outbox.empty() ||
-             !conn->completed.empty() || !conn->streams.empty())) {
-          pipelined_->add();
-        }
-      }
-      // Admission control. A connection past its pipelining allowance is
-      // shed outright; a request against a full queue is shed AND the
-      // connection parked (the frames being shed were already read — the
-      // park stops the next ones at the kernel's TCP window instead).
-      if (max_inflight_per_conn_ > 0 &&
-          inflight_now > max_inflight_per_conn_) {
-        shed(conn, seq, std::move(request));
+        flush(conn);
         continue;
-      }
-      bool admitted = true;
-      bool queue_full = false;
-      {
-        std::lock_guard lock(jobs_mu_);
-        if (max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_) {
-          admitted = false;
-        } else {
-          jobs_.push_back(Job{conn, seq, std::move(request),
-                              std::chrono::steady_clock::now()});
-          queue_depth_.store(jobs_.size(), std::memory_order_release);
-          if (queue_depth_gauge_ != nullptr) {
-            queue_depth_gauge_->set(static_cast<std::int64_t>(jobs_.size()));
-          }
-          if (queue_waterline_ != nullptr) queue_waterline_->add(1);
-          queue_full =
-              max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_;
+      case SessionEvent::Kind::kMessage:
+        // Messages leave the session in wire order on this (the owning)
+        // reactor, already decompressed and dictionary-decoded — the order
+        // the mirrored table requires — before their arrival order is
+        // handed to the workers.
+        dispatch(conn, std::move(ev->message));
+        continue;
+      case SessionEvent::Kind::kStream:
+        begin_stream(conn, std::move(ev->message.content_type));
+        continue;
+      case SessionEvent::Kind::kChunk:
+      case SessionEvent::Kind::kEnd:
+        if (!on_stream_chunk(conn, std::move(*ev))) {
+          conn->stream_backlog.assign(data.begin(), data.end());
+          return false;
         }
-      }
-      if (admitted) {
-        jobs_cv_.notify_one();
-      } else {
-        shed(conn, seq, std::move(request));
-        queue_full = true;
-      }
-      if (queue_full) park_for_queue(conn);
-      continue;
+        continue;
     }
-    if (conn->assembler.chunk_ready()) {
-      if (!on_stream_chunk(conn)) {
-        conn->stream_backlog.assign(data.begin(), data.end());
-        return false;
-      }
-      continue;
-    }
-    if (data.empty()) return true;
   }
 }
 
-/// Route one assembled chunk into the connection's stream. Returns false
-/// when the push filled the in-queue (the caller must park).
-bool SoapEventServer::on_stream_chunk(const std::shared_ptr<Conn>& conn) {
-  if (conn->rx_stream == nullptr) begin_stream(conn);
+/// Sequence one request and hand it to the workers, or shed it.
+void SoapEventServer::dispatch(const std::shared_ptr<Conn>& conn,
+                               soap::WireMessage request) {
+  const std::uint64_t seq = conn->next_seq++;
+  std::size_t inflight_now = 0;
+  {
+    std::lock_guard lock(conn->mu);
+    ++conn->inflight;
+    inflight_now = conn->inflight;
+    // A second request arriving before the first response left is the
+    // pipelining case the thread-per-connection pool can't do.
+    if (pipelined_ != nullptr &&
+        (conn->inflight > 1 || !conn->outbox.empty() ||
+         !conn->completed.empty() || !conn->streams.empty())) {
+      pipelined_->add();
+    }
+  }
+  // Admission control. A connection past its pipelining allowance is shed
+  // outright; a request against a full queue is shed AND the connection
+  // parked (the frames being shed were already read — the park stops the
+  // next ones at the kernel's TCP window instead).
+  if (max_inflight_per_conn_ > 0 && inflight_now > max_inflight_per_conn_) {
+    shed(conn, seq, std::move(request));
+    return;
+  }
+  bool admitted = true;
+  bool queue_full = false;
+  {
+    std::lock_guard lock(jobs_mu_);
+    if (max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_) {
+      admitted = false;
+    } else {
+      jobs_.push_back(Job{conn, seq, std::move(request),
+                          std::chrono::steady_clock::now()});
+      queue_depth_.store(jobs_.size(), std::memory_order_release);
+      if (queue_depth_gauge_ != nullptr) {
+        queue_depth_gauge_->set(static_cast<std::int64_t>(jobs_.size()));
+      }
+      if (queue_waterline_ != nullptr) queue_waterline_->add(1);
+      queue_full = max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_;
+    }
+  }
+  if (admitted) {
+    jobs_cv_.notify_one();
+  } else {
+    shed(conn, seq, std::move(request));
+    queue_full = true;
+  }
+  if (queue_full) park_for_queue(conn);
+}
+
+/// Route one stream event into the connection's stream. Returns false when
+/// the push filled the in-queue (the caller must park).
+bool SoapEventServer::on_stream_chunk(const std::shared_ptr<Conn>& conn,
+                                      SessionEvent ev) {
   const std::shared_ptr<StreamState> st = conn->rx_stream;
-  StreamChunk c = conn->assembler.take_chunk();
   if (stream_chunks_ != nullptr) stream_chunks_->add();
-  if (c.kind == ChunkKind::kEnd) {
+  if (ev.kind == SessionEvent::Kind::kEnd) {
     {
       std::lock_guard lock(st->mu);
       st->in_end = true;
@@ -669,11 +576,11 @@ bool SoapEventServer::on_stream_chunk(const std::shared_ptr<Conn>& conn) {
     conn->rx_stream = nullptr;  // the next bytes start a fresh frame
     return true;
   }
-  const std::size_t n = c.bytes.size();
+  const std::size_t n = ev.chunk.bytes.size();
   bool full;
   {
     std::lock_guard lock(st->mu);
-    st->in.push_back(std::move(c));
+    st->in.push_back(std::move(ev.chunk));
     st->in_bytes += n;
     full = st->in.size() >= kStreamQueueDepth;
   }
@@ -688,13 +595,14 @@ bool SoapEventServer::on_stream_chunk(const std::shared_ptr<Conn>& conn) {
   return true;
 }
 
-void SoapEventServer::begin_stream(const std::shared_ptr<Conn>& conn) {
+void SoapEventServer::begin_stream(const std::shared_ptr<Conn>& conn,
+                                   std::string content_type) {
   if (!stream_handler_) {
     throw TransportError(
         "chunked frame on an endpoint without a stream handler");
   }
   auto st = std::make_shared<StreamState>();
-  st->content_type = conn->assembler.stream_content_type();
+  st->content_type = std::move(content_type);
   st->seq = conn->next_seq++;
   {
     std::lock_guard lock(conn->mu);
@@ -994,31 +902,22 @@ void SoapEventServer::worker_loop() {
       for (auto& r : reactors_) r->wakeup.signal();
     }
 
-    // Safe to read off-reactor: set while handling the Hello, before any
+    // Safe to read off-reactor: the handshake settles it before any
     // request of the connection could be queued (the jobs_mu_ handoff
     // orders the write against this read).
-    const bool v3 = job.conn->v3;
+    const bool v3 = job.conn->session.negotiated();
     // Idempotent-response cache: a byte-identical repeat of a declared
     // idempotent request is answered straight from the cached canonical
     // payload — no deserialize, no handler, no serialize. The job already
     // passed admission (it was queued), so only the CPU work is skipped.
+    // The owning connection frames it in wire order at release time.
     if (respcache_) {
       if (ResponseCache::Payload hit = respcache_->lookup(
               encoding_->content_type(), job.request.payload)) {
         buffer_pool_.release(std::move(job.request.payload));
         ByteWriter out(buffer_pool_.acquire(hit->size() + 64));
-        if (v3) {
-          // Canonical payload; the owning reactor frames (and dictionary-
-          // codes) it in wire order at release time.
-          out.write_bytes(*hit);
-          complete(job.conn, job.seq, out.take(), /*framed=*/false);
-        } else {
-          const std::size_t len_pos =
-              begin_frame(out, encoding_->content_type());
-          out.write_bytes(*hit);
-          end_frame(out, len_pos);
-          complete(job.conn, job.seq, out.take());
-        }
+        out.write_bytes(*hit);
+        complete(job.conn, job.seq, out.take(), /*framed=*/false);
         continue;
       }
     }
@@ -1123,14 +1022,12 @@ void SoapEventServer::release_ready_locked(Conn& conn) {
     if (c.framed) {
       conn.outbox.push_back(std::move(c.bytes));
     } else {
-      // BXTP v3 response: frame (and dictionary-code) the canonical
-      // payload HERE, where responses are back in wire order — the only
-      // order the client's mirrored table can follow. Runs under conn.mu,
-      // which serializes every writer of resp_dict.
+      // Frame (and on a v3 channel dictionary-code) the canonical payload
+      // HERE, where responses are back in wire order — the only order the
+      // client's mirrored table can follow. Runs under conn.mu, which
+      // serializes every caller of the session's outbound half.
       ByteWriter framed(buffer_pool_.acquire(c.bytes.size() + 64));
-      frame_v3_payload(framed, c.bytes, encoding_->content_type(),
-                       conn.resp_dict, dict_stats_, conn.transforms,
-                       compress_policy_, &buffer_pool_, compress_stats_);
+      conn.session.frame_message(framed, c.bytes, encoding_->content_type());
       buffer_pool_.release(std::move(c.bytes));
       conn.outbox.push_back(framed.take());
     }
@@ -1222,83 +1119,38 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
     }
   } source(this, conn, st.get());
 
+  // The response's wire chunks — compressed and, on a signed connection,
+  // authenticated by the session's encoder, whose transmit authenticator
+  // belongs to this thread — go into the bounded out-queue.
   struct QueueSink final : StreamSink {
     SoapEventServer* srv;
     const std::shared_ptr<Conn>& conn;
     StreamState* st;
-    StreamAuthenticator* auth;
-    std::uint64_t total = 0;
+    ChunkEncoder encoder;
     bool pushed_any = false;
-    bool wrote_header = false;
     QueueSink(SoapEventServer* s, const std::shared_ptr<Conn>& c,
-              StreamState* t, StreamAuthenticator* a)
-        : srv(s), conn(c), st(t), auth(a) {}
-    void write(StreamChunk c) override {
-      // Signed stream: absorb the chunk in LOGICAL (pre-compression) order
-      // — the MAC covers what the handler said, not how the wire packed it.
-      if (auth != nullptr) {
-        auth_absorb_chunk(*auth, c.kind, c.bytes);
-        if (srv->auth_stats_.bytes_authenticated != nullptr) {
-          srv->auth_stats_.bytes_authenticated->add(c.bytes.size());
-        }
-      }
-      if (c.kind == ChunkKind::kData) {
-        // The End total counts LOGICAL bytes, so it is tallied before any
-        // compression of the chunk body.
-        total += c.bytes.size();
-        if (conn->transforms != 0) {
-          std::vector<std::uint8_t> packed =
-              srv->buffer_pool_.acquire(c.bytes.size() + 64);
-          const Transform t = compress_append(
-              c.bytes, conn->transforms, srv->compress_policy_,
-              srv->buffer_pool_, packed, srv->compress_stats_);
-          if (t != Transform::kNone) {
-            srv->buffer_pool_.release(std::move(c.bytes));
-            push(static_cast<std::uint8_t>(ChunkKind::kCompressedData),
-                 std::move(packed), false);
-            return;
-          }
-          srv->buffer_pool_.release(std::move(packed));
-        }
-      }
-      push(static_cast<std::uint8_t>(c.kind), std::move(c.bytes), false);
-    }
+              StreamState* t)
+        : srv(s), conn(c), st(t) {}
+    void write(StreamChunk c) override { push(encoder.encode(std::move(c))); }
     void finish() override {
-      if (auth != nullptr) {
-        // The Auth trailer rides before End, so the receiver verifies the
-        // whole stream before End reaches its handler.
-        const std::size_t tag_size = auth->tag_size();
-        std::vector<std::uint8_t> trailer(1 + tag_size);
-        trailer[0] = conn->auth_algo;
-        auth_finalize_tag(*auth, total, {trailer.data() + 1, tag_size});
-        push(static_cast<std::uint8_t>(ChunkKind::kAuth), std::move(trailer),
-             false);
-      }
-      std::vector<std::uint8_t> body(8);
-      store<std::uint64_t>(total, ByteOrder::kBig, body.data());
-      push(static_cast<std::uint8_t>(ChunkKind::kEnd), std::move(body), true);
+      for (StreamChunk& c : encoder.finish()) push(std::move(c));
     }
-    void push(std::uint8_t kind, std::vector<std::uint8_t> body,
-              bool is_end) {
-      if (!wrote_header) {
+    void push(StreamChunk c) {
+      const bool is_end = c.kind == ChunkKind::kEnd;
+      if (!pushed_any) {
         // The response's BXTP v2 header rides the queue as a frame with
         // no chunk header of its own (hdr already "written").
-        wrote_header = true;
         ByteWriter h(srv->buffer_pool_.acquire(64));
-        h.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-        h.write_u8(kFrameVersionChunked);
-        const std::string_view ct = srv->encoding_->content_type();
-        vls_write(h, ct.size());
-        h.write_string(ct);
+        encode_stream_header(h, srv->encoding_->content_type());
         OutFrame hf;
         hf.hdr_off = hf.hdr.size();
         hf.bytes = h.take();
         enqueue(std::move(hf), false);
       }
       OutFrame f;
-      f.hdr[0] = kind;
-      store<std::uint64_t>(body.size(), ByteOrder::kBig, f.hdr.data() + 1);
-      f.bytes = std::move(body);
+      f.hdr[0] = static_cast<std::uint8_t>(c.kind);
+      store<std::uint64_t>(c.bytes.size(), ByteOrder::kBig, f.hdr.data() + 1);
+      f.bytes = std::move(c.bytes);
       enqueue(std::move(f), is_end);
     }
     void enqueue(OutFrame f, bool is_end) {
@@ -1317,18 +1169,7 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
       if (srv->stream_buffered_ != nullptr) srv->stream_buffered_->add(n);
       srv->request_flush(conn);
     }
-  } sink(this, conn, st.get(), nullptr);
-
-  // Signed stream: the response gets its own per-stream authenticator
-  // (the negotiated algorithm was proven buildable at Hello time).
-  std::unique_ptr<StreamAuthenticator> tx_auth;
-  if (conn->auth_algo != 0) {
-    tx_auth = stream_auth_.make(conn->auth_algo);
-    if (tx_auth != nullptr) {
-      tx_auth->init();
-      sink.auth = tx_auth.get();
-    }
-  }
+  } sink(this, conn, st.get());
 
   StreamRequest request(st->content_type, source);
   ResponseWriter response(sink, buffer_pool_, stream_chunk_bytes_,
@@ -1337,6 +1178,7 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
   bool faulted = false;
   bool torn = false;
   try {
+    sink.encoder = conn->session.chunk_encoder();
     stream_handler_(request, response);
     if (!response.finished()) response.finish();
     // An unread request tail would starve the parked connection forever;

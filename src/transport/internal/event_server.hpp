@@ -23,8 +23,8 @@
 // load (no handoff at all, but statistically balanced rather than fair).
 //
 // Pipelining: a client may write many frames back to back on one
-// connection. Each request gets a per-connection sequence number when it
-// leaves the FrameAssembler; workers complete them in any order; the
+// connection. Each request gets a per-connection sequence number when the
+// connection's Session surfaces it; workers complete them in any order; the
 // connection's completion map releases responses strictly in sequence, so
 // M pipelined requests always produce M in-order responses. (Handlers for
 // requests of ONE connection may run concurrently — ordering is restored
@@ -85,17 +85,17 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "bxsa/dict.hpp"
 #include "obs/observer.hpp"
 #include "soap/any_engine.hpp"
 #include "soap/envelope.hpp"
-#include "transport/framing.hpp"
 #include "transport/respcache.hpp"
 #include "transport/server.hpp"
+#include "transport/session.hpp"
 #include "transport/socket.hpp"
 #include "transport/stream.hpp"
 
@@ -172,27 +172,34 @@ class SoapEventServer : public SoapServer {
     std::thread thread;
   };
 
-  /// One connection's reactor-plus-worker shared state. The owning reactor
-  /// has the socket and the assembler exclusively; everything under `mu` is
-  /// the response-ordering handshake with the workers and stream threads.
-  /// A response staged in the completion map. v1/v2 responses (and cache
-  /// hits on v1 connections) arrive fully framed; v3 responses arrive as
-  /// the canonical UNFRAMED payload and are framed by the owning reactor
-  /// in release_ready_locked — the dictionary transform must run in wire
+  /// A response staged in the completion map. v1 responses serialized by
+  /// a worker arrive fully framed; v3 responses and every cache hit arrive
+  /// as the canonical UNFRAMED payload and are framed in
+  /// release_ready_locked — the dictionary transform must run in wire
   /// order, which only the in-order release point can guarantee.
   struct Completed {
     std::vector<std::uint8_t> bytes;
     bool framed = true;
   };
 
+  /// One connection's reactor-plus-worker shared state. The owning reactor
+  /// has the socket and the session's inbound half exclusively; everything
+  /// under `mu` is the response-ordering handshake with the workers and
+  /// stream threads.
   struct Conn {
-    Conn(TcpStream s, const FrameLimits& limits, BufferPool* pool,
-         bool accept_v3)
-        : stream(std::move(s)), assembler(limits, pool, accept_v3) {}
+    Conn(TcpStream s, const Session::Config& cfg)
+        : stream(std::move(s)), session(Session::Role::kServer, cfg) {}
 
     Reactor* owner = nullptr;  // fixed at adoption; read by any thread
     TcpStream stream;          // reactor-only
-    FrameAssembler assembler;  // reactor-only
+    /// BXTP state (transport/session.hpp). Inbound half: reactor-only —
+    /// messages and chunks leave it in wire order, the order the receive
+    /// dictionary and authenticator need. Outbound frame_message(): only in
+    /// release_ready_locked under `mu`, where responses are back in wire
+    /// order. Its negotiated values are settled by the handshake before any
+    /// request or stream of the connection reaches a worker or stream
+    /// thread; the job queue and stream start hand-offs order those reads.
+    Session session;
     std::uint64_t next_seq = 0;  // reactor-only: next request sequence
     std::chrono::steady_clock::time_point last_activity;  // reactor-only
     bool want_write = false;   // reactor-only: EPOLLOUT armed
@@ -207,28 +214,6 @@ class SoapEventServer : public SoapServer {
     /// worker queue to max_queue_depth (admission backpressure). Resumed
     /// by the owning reactor once workers drain the queue to half.
     bool queue_parked = false;
-
-    /// BXTP v3 (FORMAT.md §"BXTP v3"). `v3` is written by the owning
-    /// reactor while handling the Hello — before any request of this
-    /// connection can be dispatched — and read by workers afterwards; the
-    /// job queue handoff (jobs_mu_) orders the two. req_dict is
-    /// reactor-only: frames leave the assembler in wire order on the
-    /// owning reactor, which is exactly the order the mirror table needs.
-    /// resp_dict is touched only in release_ready_locked under `mu`,
-    /// where responses are already serialized back into wire order.
-    bool v3 = false;
-    /// Negotiated compression set (0 = plain). Written with `v3` while
-    /// handling the Hello; same ordering argument covers worker reads.
-    std::uint8_t transforms = 0;
-    /// Negotiated stream-auth algorithm (0 = unsigned). Written with `v3`
-    /// while handling the Hello; stream threads read it after begin_stream,
-    /// which the same job-queue/flush handoff orders. rx_auth is
-    /// reactor-only: the assembler absorbs and verifies request chunks in
-    /// wire order on the owning reactor thread.
-    std::uint8_t auth_algo = 0;
-    std::unique_ptr<StreamAuthenticator> rx_auth;
-    std::optional<bxsa::DictDecoder> req_dict;
-    std::optional<bxsa::DictEncoder> resp_dict;
 
     std::mutex mu;
     /// Responses completed out of order, keyed by request sequence.
@@ -292,8 +277,10 @@ class SoapEventServer : public SoapServer {
   void read_ready(const std::shared_ptr<Conn>& conn);
   bool pump(const std::shared_ptr<Conn>& conn,
             std::span<const std::uint8_t> data);
-  bool on_stream_chunk(const std::shared_ptr<Conn>& conn);
-  void begin_stream(const std::shared_ptr<Conn>& conn);
+  void dispatch(const std::shared_ptr<Conn>& conn, soap::WireMessage request);
+  bool on_stream_chunk(const std::shared_ptr<Conn>& conn, SessionEvent ev);
+  void begin_stream(const std::shared_ptr<Conn>& conn,
+                    std::string content_type);
   void resume_stream_read(const std::shared_ptr<Conn>& conn);
   void flush(const std::shared_ptr<Conn>& conn);
   void drop(const std::shared_ptr<Conn>& conn);
@@ -314,8 +301,8 @@ class SoapEventServer : public SoapServer {
   void release_ready_locked(Conn& conn);
 
   // Worker-side helper: hand a finished response to the connection.
-  // `framed` false means `frame` is a canonical v3 payload still to be
-  // framed (and dictionary-coded) at release time.
+  // `framed` false means `frame` is a canonical payload still to be
+  // framed (and on a v3 channel dictionary-coded) at release time.
   void complete(const std::shared_ptr<Conn>& conn, std::uint64_t seq,
                 std::vector<std::uint8_t> frame, bool framed = true);
   // Stream-thread body and its owning-reactor notifications.
@@ -334,7 +321,6 @@ class SoapEventServer : public SoapServer {
   /// One listener in accept-assign mode; one per reactor with reuse_port.
   std::vector<TcpListener> listeners_;
   int read_timeout_ms_ = 0;
-  FrameLimits frame_limits_{};
   std::size_t max_connections_ = 0;
   std::chrono::milliseconds drain_timeout_{1000};
 
@@ -343,22 +329,10 @@ class SoapEventServer : public SoapServer {
   std::size_t max_queue_depth_ = 0;
   std::size_t max_inflight_per_conn_ = 0;
   std::vector<std::uint8_t> shed_frame_;
-  /// BXTP v3 (FORMAT.md §"BXTP v3"): Hello handling switch, this server's
-  /// dictionary offer, and whether the encoding emits plain BXSA (the only
-  /// payload form the dictionary transform applies to).
-  bool accept_v3_ = true;
-  bool dict_capable_ = false;
-  bxsa::DictLimits dict_limits_{};
-  bxsa::DictStats dict_stats_{};  // dict.{entries,bytes_saved,resets}
-  /// Adaptive per-chunk compression: this server's transform offer, the
-  /// entropy-probe policy, and the compress.* counters.
-  std::uint8_t compress_transforms_ = 0;
-  CompressPolicy compress_policy_{};
-  CompressStats compress_stats_{};
-  /// Streaming authentication: this server's algorithm offer and the
-  /// sec.* counters.
-  StreamAuth stream_auth_{};
-  AuthStats auth_stats_{};
+  /// What every connection's BXTP session is built from: frame limits,
+  /// this server's v3 offers (dictionary, transforms, stream auth) and the
+  /// dict.*, compress.* and sec.* counters.
+  Session::Config session_cfg_;
   /// Idempotent-response cache; engaged only when the config declares
   /// idempotent operations.
   std::optional<ResponseCache> respcache_;

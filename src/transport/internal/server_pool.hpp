@@ -39,13 +39,12 @@
 #include <thread>
 #include <vector>
 
-#include "bxsa/dict.hpp"
 #include "obs/observer.hpp"
 #include "soap/any_engine.hpp"
 #include "soap/envelope.hpp"
-#include "transport/framing.hpp"
 #include "transport/respcache.hpp"
 #include "transport/server.hpp"
+#include "transport/session.hpp"
 #include "transport/socket.hpp"
 #include "transport/stream.hpp"
 
@@ -94,12 +93,10 @@ class SoapServerPool : public SoapServer {
 
   void accept_loop();
   void serve_connection(TcpStream stream);
-  /// One BXTP v2 exchange on the connection's worker thread. The frame
-  /// header `start` was already consumed. `transforms` is the connection's
-  /// negotiated compression set (0 on un-negotiated connections) and
-  /// `auth_algo` its negotiated authentication algorithm (0 = unsigned).
-  void serve_stream(TcpStream& stream, FrameStart start,
-                    std::uint8_t transforms, std::uint8_t auth_algo);
+  /// One BXTP v2 exchange on the connection's worker thread, whose header
+  /// (of type `content_type`) `session` has just surfaced.
+  void serve_stream(TcpStream& stream, Session& session,
+                    std::string content_type);
   void reap_finished_locked();
 
   std::unique_ptr<soap::AnyEncoding> encoding_;
@@ -112,7 +109,6 @@ class SoapServerPool : public SoapServer {
   BufferPool buffer_pool_;
   TcpListener listener_;
   int read_timeout_ms_ = 0;
-  FrameLimits frame_limits_{};
   std::size_t max_workers_ = 0;
   std::chrono::milliseconds drain_timeout_{1000};
   /// Overload control (DESIGN.md §12): the in-flight exchange bound and
@@ -120,25 +116,10 @@ class SoapServerPool : public SoapServer {
   /// for a serialize.
   std::size_t max_queue_depth_ = 0;
   std::vector<std::uint8_t> shed_frame_;
-  /// BXTP v3 (FORMAT.md §"BXTP v3"): whether a client Hello is answered
-  /// (off = rejected exactly as by a pre-v3 server), this server's
-  /// dictionary offer, and whether the encoding's payloads are plain BXSA
-  /// (the only form the dictionary transform applies to).
-  bool accept_v3_ = true;
-  bool dict_capable_ = false;
-  bxsa::DictLimits dict_limits_{};
-  bxsa::DictStats dict_stats_{};  // dict.{entries,bytes_saved,resets}
-  /// Adaptive per-chunk compression: this server's transform offer (the
-  /// per-connection set is the intersection with the client's Hello), the
-  /// entropy-probe policy, and the compress.* counters.
-  std::uint8_t compress_transforms_ = 0;
-  CompressPolicy compress_policy_{};
-  CompressStats compress_stats_{};
-  /// Streaming authentication: this server's algorithm offer (the
-  /// per-connection algorithm is the lowest bit of the intersection with
-  /// the client's Hello) and the sec.* counters.
-  StreamAuth stream_auth_{};
-  AuthStats auth_stats_{};
+  /// What every connection's BXTP session is built from: frame limits,
+  /// this server's v3 offers (dictionary, transforms, stream auth) and the
+  /// dict.*, compress.* and sec.* counters.
+  Session::Config session_cfg_;
   /// Idempotent-response cache; engaged only when the config declares
   /// idempotent operations.
   std::optional<ResponseCache> respcache_;

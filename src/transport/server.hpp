@@ -30,6 +30,7 @@
 #include "soap/any_engine.hpp"
 #include "soap/envelope.hpp"
 #include "transport/auth.hpp"
+#include "transport/compress.hpp"
 #include "transport/framing.hpp"
 #include "transport/stream.hpp"
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "soap/encoding.hpp"
 #include "soap/overload.hpp"
-#include "transport/framing.hpp"
+#include "transport/internal/session_config.hpp"
 
 namespace bxsoap::transport {
 
@@ -16,17 +17,10 @@ SoapServerPool::SoapServerPool(ServerConfig config)
       stream_chunk_bytes_(config.stream_chunk_bytes),
       listener_(config.port, config.backlog),
       read_timeout_ms_(config.read_timeout_ms),
-      frame_limits_(config.frame_limits),
       max_workers_(config.max_workers),
       drain_timeout_(config.drain_timeout),
       max_queue_depth_(config.max_queue_depth),
-      accept_v3_(config.accept_v3),
-      dict_limits_(config.dict_limits),
-      compress_transforms_(config.compress_transforms),
-      compress_policy_(config.compress_policy),
-      stream_auth_(std::move(config.stream_auth)) {
-  dict_capable_ =
-      encoding_->content_type() == soap::BxsaEncoding::content_type();
+      session_cfg_(session_config(config, *encoding_, &buffer_pool_)) {
   if (max_queue_depth_ > 0) {
     // Shedding must not cost a serialize: the Overloaded fault frame is a
     // constant, built once (same as the event server).
@@ -54,18 +48,6 @@ SoapServerPool::SoapServerPool(ServerConfig config)
                                  &reg->counter(prefix + ".pool.miss"),
                                  &reg->counter(prefix + ".pool.recycled_bytes"));
     encoding_->set_codec_stats(&reg->codec(prefix + ".bxsa"));
-    dict_stats_.entries = &reg->counter(prefix + ".dict.entries");
-    dict_stats_.bytes_saved = &reg->counter(prefix + ".dict.bytes_saved");
-    dict_stats_.resets = &reg->counter(prefix + ".dict.resets");
-    compress_stats_.chunks = &reg->counter(prefix + ".compress.chunks");
-    compress_stats_.skipped = &reg->counter(prefix + ".compress.skipped");
-    compress_stats_.bytes_in = &reg->counter(prefix + ".compress.bytes_in");
-    compress_stats_.bytes_out = &reg->counter(prefix + ".compress.bytes_out");
-    compress_stats_.ns = &reg->counter(prefix + ".compress.ns");
-    auth_stats_.bytes_authenticated =
-        &reg->counter(prefix + ".sec.bytes_authenticated");
-    auth_stats_.tag_failures = &reg->counter(prefix + ".sec.tag_failures");
-    auth_stats_.verify_ns = &reg->counter(prefix + ".sec.verify.ns");
   }
   if (!config.idempotent_ops.empty()) {
     ResponseCache::Stats cache_stats;
@@ -206,108 +188,34 @@ void SoapServerPool::serve_connection(TcpStream stream) {
     stream.set_io_stats(io_);
     stream.set_no_delay(true);
     if (read_timeout_ms_ > 0) stream.set_read_timeout(read_timeout_ms_);
-    // BXTP v3 channel state, created by the Hello/Accept handshake and
-    // scoped to this connection: the negotiated flag and the two mirrored
-    // dictionary directions (requests decode, responses encode).
-    bool v3 = false;
-    std::uint8_t transforms = 0;  // negotiated compression set (0 = plain)
-    std::uint8_t auth_algo = 0;   // negotiated stream auth (0 = unsigned)
-    std::optional<bxsa::DictDecoder> req_dict;
-    std::optional<bxsa::DictEncoder> resp_dict;
+    // The connection's BXTP state: handshake, dictionaries, transforms,
+    // stream auth. This worker is both its reading and its writing thread.
+    Session session(Session::Role::kServer, session_cfg_);
     // Serve exchanges until the peer hangs up.
     for (;;) {
-      FrameStart start;
-      std::optional<soap::WireMessage> body;
-      std::uint8_t req_flags = 0;
+      SessionEvent ev;
       {
         // One frame-read sample per exchange, spanning header + body.
         obs::StageTimer t(obs_, obs::Stage::kFrameRead);
-        start = read_frame_start(stream, frame_limits_, accept_v3_);
-        if (!start.hello && (!start.chunked() || !stream_handler_)) {
-          // Without a stream handler a chunked frame throws here, cutting
-          // the connection — bytes past the header cannot be reframed.
-          req_flags = start.flags;
-          body = read_frame_body(stream, std::move(start), frame_limits_,
-                                 &buffer_pool_);
-        }
+        ev = next_event(stream, session);
       }
-      if (start.hello) {
-        if (v3) {
-          throw TransportError("repeated Hello on a negotiated connection");
-        }
-        AcceptFrame accept;
-        if (start.hello_frame.max_version >= kFrameVersionNegotiated) {
-          // Effective table: the element-wise min of both offers — forced
-          // to empty when this server's payloads are not plain BXSA, so
-          // the client never dictionary-codes at us in vain.
-          bxsa::DictLimits eff{0, 0};
-          if (dict_capable_) {
-            eff = dict_limits_.min_with({start.hello_frame.dict_max_entries,
-                                         start.hello_frame.dict_max_bytes});
-          }
-          accept.version = kFrameVersionNegotiated;
-          accept.dict_max_entries = eff.max_entries;
-          accept.dict_max_bytes = eff.max_bytes;
-          // Transform set: the intersection of both offers. Empty means
-          // this connection stays plain-v3 — byte-identical to a server
-          // that never heard of compression.
-          accept.transforms =
-              compress_transforms_ & start.hello_frame.transforms;
-          transforms = accept.transforms;
-          // Stream authentication: the intersection of both offers; the
-          // effective algorithm is its lowest set bit. Empty = this
-          // connection's streams stay unsigned (sticky downgrade).
-          accept.auth =
-              stream_auth_ ? (stream_auth_.algos & start.hello_frame.auth)
-                           : std::uint8_t{0};
-          auth_algo = authalgs::pick(accept.auth);
-          v3 = true;
-          if (eff.max_entries > 0) {
-            req_dict.emplace(eff);
-            resp_dict.emplace(eff);
-          }
-        } else {
-          // The peer probed with v3 framing but cannot speak it; answer
-          // with v1 and keep serving plain frames.
-          accept.version = kFrameVersion;
-        }
-        write_accept(stream, accept);
+      if (ev.kind == SessionEvent::Kind::kHandshake) {
+        stream.write_all(session.take_output());
         continue;
       }
-      if (!body) {
+      if (ev.kind == SessionEvent::Kind::kStream) {
+        if (!stream_handler_) {
+          // Bytes past the header cannot be reframed: cut the connection.
+          throw TransportError(
+              "chunked frame on an endpoint without a stream handler");
+        }
         busy.store(true, std::memory_order_release);
-        serve_stream(stream, std::move(start), transforms, auth_algo);
+        serve_stream(stream, session, std::move(ev.message.content_type));
         busy.store(false, std::memory_order_release);
         if (stopping_.load(std::memory_order_acquire)) break;
         continue;
       }
-      soap::WireMessage raw = std::move(*body);
-      // Decode order is the reverse of encode order (dict then compress):
-      // decompress first, so the dictionary — and the response cache — see
-      // canonical bytes.
-      if ((req_flags & v3flags::kCompressed) != 0) {
-        raw.payload = decompress_frame_payload(std::move(raw.payload),
-                                               transforms, frame_limits_,
-                                               buffer_pool_);
-      }
-      if ((req_flags & v3flags::kDictEncoded) != 0) {
-        if (!req_dict) {
-          throw TransportError(
-              "dictionary-coded message without a negotiated table");
-        }
-        ByteWriter plain(buffer_pool_.acquire(raw.payload.size() + 64));
-        try {
-          req_dict->decode(raw.payload, (req_flags & v3flags::kDictReset) != 0,
-                           plain, dict_stats_);
-        } catch (const DecodeError& e) {
-          // A mirror desync poisons every later message on this channel;
-          // strict validation cuts the connection (FORMAT.md "BXTP v3").
-          throw TransportError(std::string("dictionary decode failed: ") +
-                               e.what());
-        }
-        buffer_pool_.release(std::move(raw.payload));
-        raw.payload = plain.take();
-      }
+      soap::WireMessage raw = std::move(ev.message);
       // The deadline header is relative: it counts from the moment WE
       // finished reading the request, so no client/server clock sync is
       // assumed.
@@ -323,16 +231,7 @@ void SoapServerPool::serve_connection(TcpStream stream) {
                 encoding_->content_type(), raw.payload)) {
           buffer_pool_.release(std::move(raw.payload));
           ByteWriter out(buffer_pool_.acquire(hit->size() + 64));
-          if (v3) {
-            frame_v3_payload(out, *hit, encoding_->content_type(), resp_dict,
-                             dict_stats_, transforms, compress_policy_,
-                             &buffer_pool_, compress_stats_);
-          } else {
-            const std::size_t len_pos =
-                begin_frame(out, encoding_->content_type());
-            out.write_bytes(*hit);
-            end_frame(out, len_pos);
-          }
+          session.frame_message(out, *hit, encoding_->content_type());
           ++exchanges_;
           obs_.count_exchange();
           {
@@ -428,7 +327,7 @@ void SoapServerPool::serve_connection(TcpStream stream) {
       // through a canonical buffer because the dictionary transform (and
       // the cache) needs the pre-dictionary bytes.
       ByteWriter out(buffer_pool_.acquire(256));
-      if (!v3) {
+      if (!session.negotiated()) {
         const std::size_t len_pos =
             begin_frame(out, encoding_->content_type());
         {
@@ -457,9 +356,7 @@ void SoapServerPool::serve_connection(TcpStream stream) {
               std::make_shared<const std::vector<std::uint8_t>>(
                   plain.bytes().begin(), plain.bytes().end()));
         }
-        frame_v3_payload(out, plain.bytes(), encoding_->content_type(),
-                         resp_dict, dict_stats_, transforms, compress_policy_,
-                         &buffer_pool_, compress_stats_);
+        session.frame_message(out, plain.bytes(), encoding_->content_type());
         buffer_pool_.release(plain.take());
       }
       // Count before the reply bytes leave: a client that has its response
@@ -482,67 +379,41 @@ void SoapServerPool::serve_connection(TcpStream stream) {
   }
 }
 
-void SoapServerPool::serve_stream(TcpStream& stream, FrameStart start,
-                                  std::uint8_t transforms,
-                                  std::uint8_t auth_algo) {
-  // On a connection that negotiated stream authentication, every chunked
-  // exchange carries an Auth trailer each way: the request's is verified
-  // incrementally (the reader absorbs each surfaced chunk and checks the
-  // trailer before End), the response's is signed as chunks flush.
-  std::unique_ptr<StreamAuthenticator> rx_auth;
-  std::unique_ptr<StreamAuthenticator> tx_auth;
-  if (auth_algo != 0) {
-    rx_auth = stream_auth_.make(auth_algo);
-    tx_auth = stream_auth_.make(auth_algo);
-    if (rx_auth == nullptr || tx_auth == nullptr) {
-      throw TransportError("stream auth cannot build the negotiated "
-                           "algorithm");
-    }
-  }
+void SoapServerPool::serve_stream(TcpStream& stream, Session& session,
+                                  std::string content_type) {
   // Pull side: request chunks come one at a time off the blocking socket,
   // so the pull rate of the handler is the read rate of the connection.
-  ChunkedFrameReader<TcpStream> reader(stream, frame_limits_, &buffer_pool_);
-  reader.set_transforms(transforms);
-  if (rx_auth != nullptr) reader.set_auth(rx_auth.get(), auth_algo, auth_stats_);
+  // The session verifies a signed request's trailer before End surfaces.
   struct SocketSource final : StreamSource {
     SoapServerPool* pool;
-    ChunkedFrameReader<TcpStream>& reader;
-    SocketSource(SoapServerPool* p, ChunkedFrameReader<TcpStream>& r)
-        : pool(p), reader(r) {}
+    TcpStream& stream;
+    Session& session;
+    SocketSource(SoapServerPool* p, TcpStream& s, Session& ss)
+        : pool(p), stream(s), session(ss) {}
     std::optional<StreamChunk> next() override {
-      if (reader.done()) return std::nullopt;
-      StreamChunk c = reader.next();
-      if (c.kind == ChunkKind::kEnd) return std::nullopt;
+      SessionEvent ev = next_event(stream, session);
+      if (ev.kind == SessionEvent::Kind::kEnd) return std::nullopt;
       if (pool->stream_chunks_ != nullptr) pool->stream_chunks_->add();
-      return c;
+      return std::move(ev.chunk);
     }
-  } source(this, reader);
+  } source(this, stream, session);
 
-  // Push side: response chunks go straight back out. The writer (and with
-  // it the v2 response header) is created lazily, so a handler that faults
-  // before producing anything can still be answered with a v1 fault
-  // envelope on the same connection.
+  // Push side: response chunks go straight back out, compressed and signed
+  // by the session's encoder. The writer (and with it the v2 response
+  // header) is created lazily, so a handler that faults before producing
+  // anything can still be answered with a v1 fault envelope on the same
+  // connection.
   struct SocketSink final : StreamSink {
     SoapServerPool* pool;
     TcpStream& stream;
-    std::uint8_t transforms;
-    StreamAuthenticator* auth;
-    std::uint8_t auth_algo;
+    ChunkEncoder encoder;
     std::optional<ChunkedFrameWriter<TcpStream>> writer;
-    SocketSink(SoapServerPool* p, TcpStream& s, std::uint8_t t,
-               StreamAuthenticator* a, std::uint8_t algo)
-        : pool(p), stream(s), transforms(t), auth(a), auth_algo(algo) {}
+    SocketSink(SoapServerPool* p, TcpStream& s, ChunkEncoder e)
+        : pool(p), stream(s), encoder(std::move(e)) {}
     void ensure_writer() {
       if (!writer) {
-        writer.emplace(stream, pool->encoding_->content_type());
-        if (transforms != 0) {
-          writer->set_compression({transforms, pool->compress_policy_,
-                                   &pool->buffer_pool_,
-                                   pool->compress_stats_});
-        }
-        if (auth != nullptr) {
-          writer->set_auth(auth, auth_algo, pool->auth_stats_);
-        }
+        writer.emplace(stream, pool->encoding_->content_type(),
+                       std::move(encoder));
       }
     }
     void write(StreamChunk c) override {
@@ -551,23 +422,18 @@ void SoapServerPool::serve_stream(TcpStream& stream, FrameStart start,
       if (pool->stream_buffered_ != nullptr) pool->stream_buffered_->add(n);
       {
         obs::StageTimer t(pool->obs_, obs::Stage::kFrameWrite);
-        if (c.kind == ChunkKind::kData) {
-          writer->write_data(c.bytes);
-        } else {
-          writer->write_raw(c.kind, c.bytes);
-        }
+        writer->write(std::move(c));
       }
       if (pool->stream_buffered_ != nullptr) pool->stream_buffered_->sub(n);
       if (pool->stream_flushes_ != nullptr) pool->stream_flushes_->add();
-      pool->buffer_pool_.release(std::move(c.bytes));
     }
     void finish() override {
       ensure_writer();
       writer->finish();
     }
-  } sink(this, stream, transforms, tx_auth.get(), auth_algo);
+  } sink(this, stream, session.chunk_encoder());
 
-  StreamRequest request(std::move(start.content_type), source);
+  StreamRequest request(std::move(content_type), source);
   ResponseWriter response(sink, buffer_pool_, stream_chunk_bytes_,
                           encoding_.get());
   soap::Fault fault;

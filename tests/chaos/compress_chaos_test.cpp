@@ -16,6 +16,7 @@
 #include "transport/compress.hpp"
 #include "transport/framing.hpp"
 #include "transport/server.hpp"
+#include "transport/session.hpp"
 #include "transport/stream.hpp"
 #include "workload/lead.hpp"
 
@@ -44,14 +45,14 @@ class CompressChaos : public ::testing::TestWithParam<ConcurrencyModel> {
     return SoapServer::create(GetParam(), std::move(cfg));
   }
 
-  /// Hello/Accept by hand, offering `offer`; returns the negotiated set.
+  /// Hello/Accept through a client Session offering `offer`; returns the
+  /// negotiated set.
   static std::uint8_t handshake(TcpStream& stream, std::uint8_t offer) {
-    HelloFrame hello;
-    hello.transforms = offer;
-    write_hello(stream, hello);
-    const AcceptFrame accept = read_accept(stream);
-    EXPECT_EQ(accept.version, kFrameVersionNegotiated);
-    return accept.transforms;
+    Session session(Session::Role::kClient, {.v3 = true, .transforms = offer});
+    stream.write_all(session.take_output());
+    next_event(stream, session);
+    EXPECT_TRUE(session.negotiated());
+    return session.negotiated_transforms();
   }
 
   /// The connection was cut if the next read sees EOF/reset instead of

@@ -1,18 +1,21 @@
-// Structure-aware mutation harness for the BXSA decoders.
+// Structure-aware mutation harness for the BXSA decoders and the BXTP
+// session.
 //
 // Valid frame buffers are mutated under a seeded PRNG (bit flips,
 // truncations, splices, range fills) and pushed through every consumer of
-// untrusted bytes — the tree decoder, the pull StreamReader and the
-// FrameScanner. The contract under test: hostile input costs a DecodeError
-// (or TransportError at the framing layer), NEVER a crash, a hang or an
-// unbounded allocation. Run under the asan-ubsan preset (scripts/check.sh)
-// this is the repo's deterministic fuzz gate; every failure reproduces from
-// its seed.
+// untrusted bytes — the tree decoder, the pull StreamReader, the
+// FrameScanner, and transport::Session::feed in both roles. The contract
+// under test: hostile input costs a DecodeError (or TransportError at the
+// framing layer), NEVER a crash, a hang or an unbounded allocation. Run
+// under the asan-ubsan preset (scripts/check.sh) this is the repo's
+// deterministic fuzz gate; every failure reproduces from its seed.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "../transport/session_corpus.hpp"
 #include "bxsa/decoder.hpp"
 #include "bxsa/encoder.hpp"
 #include "bxsa/frame.hpp"
@@ -20,6 +23,7 @@
 #include "bxsa/stream_reader.hpp"
 #include "common/lzss.hpp"
 #include "common/prng.hpp"
+#include "transport/session.hpp"
 #include "xbs/xbs.hpp"
 #include "xdm/node.hpp"
 
@@ -240,6 +244,80 @@ TEST(Mutation, CompressedLayerRejectsMutantsTyped) {
     } catch (const Error&) {
     }
   }
+}
+
+// ---- the BXTP session -------------------------------------------------------
+
+/// Feed `wire` to a fresh session at seeded split points, taking every
+/// event. Surfaced bodies must respect `limits`; a malformed stream must
+/// end in a typed error. Returns whether the stream was rejected.
+bool feed_mutant(std::span<const std::uint8_t> wire,
+                 transport::Session::Role role,
+                 const transport::Session::Config& cfg, SplitMix64& rng) {
+  using transport::SessionEvent;
+  transport::Session session(role, cfg);
+  const transport::FrameLimits& lim = cfg.limits;
+  try {
+    while (!wire.empty()) {
+      const std::size_t piece =
+          std::min<std::size_t>(wire.size(), 1 + rng.next_below(64));
+      std::span<const std::uint8_t> in = wire.first(piece);
+      wire = wire.subspan(piece);
+      // Every feed consumes input or completes an event: no hang.
+      while (!in.empty()) {
+        const std::size_t used = session.feed(in);
+        in = in.subspan(used);
+        std::optional<SessionEvent> ev = session.poll();
+        if (!ev && used == 0) throw std::runtime_error("feed stalled");
+        if (!ev) continue;
+        // Pooled buffers round up to a power of two: twice the limit is
+        // the most any admitted body may have reserved.
+        const auto& body = ev->kind == SessionEvent::Kind::kChunk
+                               ? ev->chunk.bytes
+                               : ev->message.payload;
+        const std::size_t cap = ev->kind == SessionEvent::Kind::kChunk
+                                    ? lim.max_chunk_bytes
+                                    : lim.max_message_bytes;
+        if (body.size() > cap || body.capacity() > 2 * cap) {
+          throw std::runtime_error("event body past FrameLimits");
+        }
+      }
+    }
+  } catch (const Error&) {
+    return true;  // TransportError / DecodeError: the contract
+  }
+  return false;
+}
+
+TEST(Mutation, SessionFeedYieldsTypedErrorOrValidEventsInBothRoles) {
+  obs::Registry reg;
+  transport::Session::Config cfg = transport::corpus::offer(reg);
+  // Tight ceilings, so mutated lengths meet them.
+  cfg.limits.max_message_bytes = 16 << 10;
+  cfg.limits.max_chunk_bytes = 4 << 10;
+  cfg.limits.max_stream_bytes = 64 << 10;
+  cfg.limits.max_content_type_bytes = 64;
+  const transport::corpus::Conversation c = transport::corpus::converse(cfg);
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    SplitMix64 rng(seed ^ 0x5E55);
+    const bool to_server = (seed & 1) == 0;
+    const auto mutant = mutate(to_server ? c.to_server : c.to_client, rng);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    if (feed_mutant(mutant,
+                    to_server ? transport::Session::Role::kServer
+                              : transport::Session::Role::kClient,
+                    cfg, rng)) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  // Control: the unmutated streams parse cleanly in both roles.
+  SplitMix64 rng(1);
+  EXPECT_FALSE(feed_mutant(c.to_server, transport::Session::Role::kServer,
+                           cfg, rng));
+  EXPECT_FALSE(feed_mutant(c.to_client, transport::Session::Role::kClient,
+                           cfg, rng));
 }
 
 // ---- targeted resource-limit probes ----------------------------------------

@@ -21,6 +21,7 @@
 #include "transport/fault.hpp"
 #include "transport/framing.hpp"
 #include "transport/server.hpp"
+#include "transport/session.hpp"
 #include "transport/stream.hpp"
 
 namespace bxsoap::transport {
@@ -45,13 +46,10 @@ SignedWire record_signed_wire(std::uint8_t transforms) {
   BufferPool pool;
   SignedWire wire;
   StreamAuth auth = make_hmac_stream_auth(kKey);
-  std::unique_ptr<StreamAuthenticator> tx =
-      auth.make(authalgs::kHmacSha256);
-  ChunkedFrameWriter<MemoryStream> writer(out, "application/x-chaos");
-  if (transforms != 0) {
-    writer.set_compression({transforms, CompressPolicy{}, &pool, {}});
-  }
-  writer.set_auth(tx.get(), authalgs::kHmacSha256);
+  ChunkedFrameWriter<MemoryStream> writer(
+      out, "application/x-chaos",
+      ChunkEncoder({transforms, CompressPolicy{}, &pool, {}},
+                   auth.make(authalgs::kHmacSha256), authalgs::kHmacSha256));
   for (int i = 0; i < 4; ++i) {
     const std::size_t before = out.pending();
     // Low-entropy bodies so the compressed variant actually compresses.
@@ -128,15 +126,15 @@ struct ChaosServer {
 void deliver(std::uint16_t port, std::span<const std::uint8_t> bytes,
              std::uint8_t transforms) {
   TcpStream conn = TcpStream::connect(port);
-  HelloFrame hello;
-  hello.max_version = kFrameVersionNegotiated;
-  hello.transforms = transforms;
-  hello.auth = authalgs::kHmacSha256;
-  write_hello(conn, hello);
-  const AcceptFrame accept = read_accept(conn);
-  ASSERT_EQ(accept.auth, authalgs::kHmacSha256);
+  Session session(Session::Role::kClient,
+                  {.v3 = true,
+                   .transforms = transforms,
+                   .auth = make_hmac_stream_auth(kKey)});
+  conn.write_all(session.take_output());
+  next_event(conn, session);
+  ASSERT_EQ(session.negotiated_auth(), authalgs::kHmacSha256);
   if (transforms != 0) {
-    ASSERT_NE(accept.transforms, 0);
+    ASSERT_NE(session.negotiated_transforms(), 0);
   }
   conn.write_all(bytes);
   // Drain the echoed response until the server cuts (corrupted wires) or

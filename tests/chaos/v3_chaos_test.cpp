@@ -15,6 +15,7 @@
 #include "transport/bindings.hpp"
 #include "transport/framing.hpp"
 #include "transport/server.hpp"
+#include "transport/session.hpp"
 #include "workload/lead.hpp"
 
 namespace bxsoap::transport {
@@ -59,6 +60,23 @@ class V3Chaos : public ::testing::TestWithParam<ConcurrencyModel> {
     EXPECT_EQ(outcome.count, 9u);
   }
 
+  /// Open the handshake through a client Session offering `offer` and
+  /// read the Accept into it.
+  static Session handshake(TcpStream& stream, Session::Config offer = {}) {
+    offer.v3 = true;
+    Session session(Session::Role::kClient, std::move(offer));
+    stream.write_all(session.take_output());
+    EXPECT_EQ(next_event(stream, session).kind,
+              SessionEvent::Kind::kHandshake);
+    return session;
+  }
+
+  static void send_hello(TcpStream& stream, const HelloFrame& hello) {
+    ByteWriter w;
+    encode_hello(w, hello);
+    stream.write_all(w.bytes());
+  }
+
   static std::vector<std::uint8_t> request_payload(std::size_t n) {
     const SoapEnvelope env =
         services::make_data_request(workload::make_lead_dataset(n));
@@ -95,8 +113,7 @@ TEST_P(V3Chaos, CorruptHelloKindCutsTheConnection) {
 TEST_P(V3Chaos, UnknownMessageFlagsCutTheConnection) {
   auto server = start();
   TcpStream stream = TcpStream::connect(server->port());
-  write_hello(stream, HelloFrame{});
-  ASSERT_EQ(read_accept(stream).version, kFrameVersionNegotiated);
+  ASSERT_TRUE(handshake(stream).negotiated());
   ByteWriter w;
   const std::size_t len_pos =
       begin_frame_v3(w, 0x80, BxsaEncoding::content_type());
@@ -111,18 +128,14 @@ TEST_P(V3Chaos, UnknownMessageFlagsCutTheConnection) {
 TEST_P(V3Chaos, DictReferenceBeyondTheMirrorCutsTheConnection) {
   auto server = start();
   TcpStream stream = TcpStream::connect(server->port());
-  HelloFrame hello;
-  hello.dict_max_entries = bxsa::DictLimits{}.max_entries;
-  hello.dict_max_bytes = bxsa::DictLimits{}.max_bytes;
-  write_hello(stream, hello);
-  const AcceptFrame accept = read_accept(stream);
-  ASSERT_EQ(accept.version, kFrameVersionNegotiated);
-  ASSERT_GT(accept.dict_max_entries, 0u);
+  const Session session = handshake(stream, {.dict = bxsa::DictLimits{}});
+  ASSERT_TRUE(session.negotiated());
+  ASSERT_GT(session.negotiated_dict().max_entries, 0u);
 
   // Encode the same request twice through a LOCAL dictionary, then send
   // only the second output: it references table entries the server's
   // mirror never saw admitted. Strict validation must cut, not guess.
-  bxsa::DictEncoder enc({accept.dict_max_entries, accept.dict_max_bytes});
+  bxsa::DictEncoder enc(session.negotiated_dict());
   const auto payload = request_payload(11);
   ByteWriter warmup;
   ASSERT_FALSE(enc.encode(payload, warmup));
@@ -155,9 +168,39 @@ TEST_P(V3Chaos, DictCodedMessageWithoutANegotiatedTableCutsTheConnection) {
 TEST_P(V3Chaos, SecondHelloCutsTheConnection) {
   auto server = start();
   TcpStream stream = TcpStream::connect(server->port());
-  write_hello(stream, HelloFrame{});
-  ASSERT_EQ(read_accept(stream).version, kFrameVersionNegotiated);
-  write_hello(stream, HelloFrame{});  // renegotiation is not a thing
+  ASSERT_TRUE(handshake(stream).negotiated());
+  send_hello(stream, HelloFrame{});  // renegotiation is not a thing
+  EXPECT_TRUE(cut(stream));
+  expect_still_serving(*server);
+}
+
+TEST_P(V3Chaos, HelloAfterARequestCutsTheConnection) {
+  auto server = start();
+  TcpStream stream = TcpStream::connect(server->port());
+  // A plain v1 exchange first: the connection is in use.
+  write_frame(stream, BxsaEncoding::content_type(), request_payload(3));
+  const SoapEnvelope reply(
+      BxsaEncoding{}.deserialize(read_frame(stream).payload));
+  ASSERT_TRUE(services::parse_verify_response(reply).ok);
+  // FORMAT.md §"BXTP v3": the Hello is legal only as the first frame.
+  send_hello(stream, HelloFrame{});
+  EXPECT_TRUE(cut(stream));
+  expect_still_serving(*server);
+}
+
+TEST_P(V3Chaos, HelloAfterAV1AcceptCutsTheConnection) {
+  auto server = start();
+  TcpStream stream = TcpStream::connect(server->port());
+  // A peer that probes with v3 framing but speaks only v1 is answered
+  // with version 1 — and that Hello was still its one Hello.
+  HelloFrame v1_only;
+  v1_only.max_version = kFrameVersion;
+  send_hello(stream, v1_only);
+  std::uint8_t accept[17];
+  stream.read_exact(accept, sizeof(accept));
+  ASSERT_EQ(accept[5], static_cast<std::uint8_t>(V3FrameKind::kAccept));
+  ASSERT_EQ(accept[6], kFrameVersion);
+  send_hello(stream, HelloFrame{});
   EXPECT_TRUE(cut(stream));
   expect_still_serving(*server);
 }

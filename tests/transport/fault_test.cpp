@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "transport/framing.hpp"
+#include "transport/session.hpp"
 
 namespace bxsoap::transport {
 namespace {
@@ -116,20 +119,48 @@ TEST(MemoryStream, CarriesFrames) {
 
 // ---- frame limits (satellite: reject before allocating) --------------------
 
+// Each case runs through both ways bytes reach the one parser: the blocking
+// read_frame loop and a reactor's Session::feed of the whole buffer.
+
+/// The message `wire` parses to under `limits`, or nullopt if rejected
+/// with TransportError. Both paths must agree.
+std::optional<soap::WireMessage> parse_both_ways(
+    std::span<const std::uint8_t> wire, const FrameLimits& limits = {}) {
+  std::optional<soap::WireMessage> blocking;
+  try {
+    MemoryStream s;
+    s.write_all(wire);
+    blocking = read_frame(s, limits);
+  } catch (const TransportError&) {
+  }
+  std::optional<soap::WireMessage> fed;
+  try {
+    Session session(Session::Role::kServer, {.limits = limits});
+    session.feed(wire);
+    if (std::optional<SessionEvent> ev = session.poll()) {
+      fed = std::move(ev->message);
+    }
+  } catch (const TransportError&) {
+  }
+  EXPECT_EQ(blocking.has_value(), fed.has_value());
+  if (blocking && fed) {
+    EXPECT_EQ(blocking->payload, fed->payload);
+  }
+  return blocking;
+}
+
 TEST(FrameLimits, OversizedDeclaredLengthRejectedBeforeAllocation) {
   // Hand-craft a frame header that declares an absurd payload length. The
   // payload bytes are never written: if read_frame tried to allocate or
   // read them the test would fail by timeout/bad_alloc rather than by the
   // expected TransportError.
-  MemoryStream s;
   ByteWriter w;
   w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
   w.write_u8(kFrameVersion);
   vls_write(w, 1);
   w.write_string("x");
   w.write<std::uint64_t>(1ull << 62, ByteOrder::kBig);
-  s.write_all(w.bytes());
-  EXPECT_THROW(read_frame(s), TransportError);
+  EXPECT_FALSE(parse_both_ways(w.bytes()).has_value());
 }
 
 TEST(FrameLimits, ConfigurableCap) {
@@ -138,24 +169,23 @@ TEST(FrameLimits, ConfigurableCap) {
   m.content_type = "x";
   m.payload.assign(2048, 0xAB);
   write_frame(s, m);
+  const std::vector<std::uint8_t> wire = s.read_exact(s.pending());
   FrameLimits limits;
   limits.max_message_bytes = 1024;
-  EXPECT_THROW(read_frame(s, limits), TransportError);
+  EXPECT_FALSE(parse_both_ways(wire, limits).has_value());
 
   // The same frame passes under the default cap.
-  MemoryStream s2;
-  write_frame(s2, m);
-  EXPECT_EQ(read_frame(s2).payload.size(), 2048u);
+  const std::optional<soap::WireMessage> back = parse_both_ways(wire);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->payload.size(), 2048u);
 }
 
 TEST(FrameLimits, UnreasonableContentTypeRejected) {
-  MemoryStream s;
   ByteWriter w;
   w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
   w.write_u8(kFrameVersion);
   vls_write(w, 1ull << 40);  // content-type "length"
-  s.write_all(w.bytes());
-  EXPECT_THROW(read_frame(s), TransportError);
+  EXPECT_FALSE(parse_both_ways(w.bytes()).has_value());
 }
 
 // ---- FaultyStream ----------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "bxsa/transcode.hpp"
 #include "transport/fault.hpp"
 #include "transport/framing.hpp"
+#include "transport/session.hpp"
 #include "transport/stream.hpp"
 #include "xdm/equal.hpp"
 
@@ -202,28 +203,26 @@ TEST(ChunkedTruncation, EveryChunkBoundaryIsDetected) {
     MemoryStream in;
     in.write_all(std::span<const std::uint8_t>(t.wire.data(), cut));
 
-    FrameStart start = read_frame_start(in);
-    ASSERT_TRUE(start.chunked());
-    ChunkedFrameReader<MemoryStream> reader(in);
+    Session reader(Session::Role::kServer, {});
+    ASSERT_EQ(next_event(in, reader).kind, SessionEvent::Kind::kStream);
     // Reading past the cut must throw (closed mid-message), never report
-    // a complete stream: done() only flips on a VERIFIED end chunk.
+    // a complete stream: End only surfaces on a VERIFIED end chunk.
     EXPECT_THROW(
         {
-          while (!reader.done()) {
-            (void)reader.next();
+          while (next_event(in, reader).kind != SessionEvent::Kind::kEnd) {
           }
         },
         TransportError)
         << "cut after chunk " << i << " (offset " << cut << ")";
   }
 
-  // Control: the full wire parses to done() with the total verified.
+  // Control: the full wire parses to End with the total verified.
   MemoryStream in;
   in.write_all(std::span<const std::uint8_t>(t.wire.data(), t.wire.size()));
-  FrameStart start = read_frame_start(in);
-  ASSERT_TRUE(start.chunked());
-  ChunkedFrameReader<MemoryStream> reader(in);
-  while (!reader.done()) (void)reader.next();
+  Session reader(Session::Role::kServer, {});
+  ASSERT_EQ(next_event(in, reader).kind, SessionEvent::Kind::kStream);
+  while (next_event(in, reader).kind != SessionEvent::Kind::kEnd) {
+  }
 }
 
 TEST(ChunkedTruncation, MidChunkCutIsDetected) {
@@ -232,11 +231,11 @@ TEST(ChunkedTruncation, MidChunkCutIsDetected) {
   const std::size_t cut = t.boundaries[0] + (t.boundaries[1] - t.boundaries[0]) / 2;
   MemoryStream in;
   in.write_all(std::span<const std::uint8_t>(t.wire.data(), cut));
-  FrameStart start = read_frame_start(in);
-  ChunkedFrameReader<MemoryStream> reader(in);
+  Session reader(Session::Role::kServer, {});
   EXPECT_THROW(
       {
-        while (!reader.done()) (void)reader.next();
+        while (next_event(in, reader).kind != SessionEvent::Kind::kEnd) {
+        }
       },
       TransportError);
 }

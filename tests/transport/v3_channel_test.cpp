@@ -16,6 +16,7 @@
 #include "transport/bindings.hpp"
 #include "transport/respcache.hpp"
 #include "transport/server.hpp"
+#include "transport/session.hpp"
 #include "workload/lead.hpp"
 
 namespace bxsoap::transport {
@@ -297,14 +298,16 @@ TEST(DictChannel, PipelinedDictResponsesStayOrderedOnTheEventServer) {
       SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
 
   TcpStream stream = TcpStream::connect(server->port());
-  HelloFrame hello;
-  hello.dict_max_entries = bxsa::DictLimits{}.max_entries;
-  hello.dict_max_bytes = bxsa::DictLimits{}.max_bytes;
-  write_hello(stream, hello);
-  const AcceptFrame accept = read_accept(stream);
-  ASSERT_EQ(accept.version, kFrameVersionNegotiated);
-  ASSERT_GT(accept.dict_max_entries, 0u);
-  const bxsa::DictLimits eff{accept.dict_max_entries, accept.dict_max_bytes};
+  // The handshake and the response side run through a client Session; the
+  // requests are dictionary-coded by hand below.
+  Session session(Session::Role::kClient,
+                  {.v3 = true, .dict = bxsa::DictLimits{}});
+  stream.write_all(session.take_output());
+  ASSERT_EQ(next_event(stream, session).kind,
+            SessionEvent::Kind::kHandshake);
+  ASSERT_TRUE(session.negotiated());
+  ASSERT_GT(session.negotiated_dict().max_entries, 0u);
+  const bxsa::DictLimits eff = session.negotiated_dict();
 
   // Burst all requests dictionary-coded back to back, THEN read: responses
   // must come back in request order with a coherent response dictionary.
@@ -324,22 +327,11 @@ TEST(DictChannel, PipelinedDictResponsesStayOrderedOnTheEventServer) {
   }
   stream.write_all(burst.bytes());
 
-  bxsa::DictDecoder dec(eff);
   for (std::size_t i = 0; i < kBurst; ++i) {
-    FrameStart start = read_frame_start(stream, FrameLimits{}, true);
-    ASSERT_FALSE(start.hello);
-    const std::uint8_t flags = start.flags;
-    soap::WireMessage m =
-        read_frame_body(stream, std::move(start), FrameLimits{});
-    std::vector<std::uint8_t> canonical;
-    if ((flags & v3flags::kDictEncoded) != 0) {
-      ByteWriter plain;
-      dec.decode(m.payload, (flags & v3flags::kDictReset) != 0, plain);
-      canonical = plain.take();
-    } else {
-      canonical = std::move(m.payload);
-    }
-    const SoapEnvelope env(BxsaEncoding{}.deserialize(canonical));
+    // The session's mirrored table decodes each response in wire order.
+    SessionEvent ev = next_event(stream, session);
+    ASSERT_EQ(ev.kind, SessionEvent::Kind::kMessage);
+    const SoapEnvelope env(BxsaEncoding{}.deserialize(ev.message.payload));
     const auto outcome = services::parse_verify_response(env);
     EXPECT_TRUE(outcome.ok);
     EXPECT_EQ(outcome.count, 20 + i) << "response " << i << " out of order";
